@@ -11,7 +11,7 @@
 //! | `Conv1d::new(ci, co, k, rng)`        | `ci → co` (channels)|
 //! | `Conv1d::strided(ci, co, k, s, rng)` | `ci → co` (channels)|
 //! | `Lstm::new(i, h, rng)` / `Gru`       | `i → h`             |
-//! | `Activation` / `SeqActivation` / `Softmax` / `Dropout` | preserving |
+//! | `Activation` / `SeqActivation`      | preserving          |
 //! | `TimeDistributed::new(inner)`        | inner's signature   |
 //!
 //! Dimensions are compared as normalised token text, so symbolic sizes
@@ -48,13 +48,7 @@ const PARAM_LAYERS: &[(&str, usize, usize)] = &[
 ];
 
 /// Shape-preserving layers: output dims equal input dims.
-const PRESERVING: &[&str] = &[
-    "Activation",
-    "SeqActivation",
-    "Softmax",
-    "Dropout",
-    "TimeDistributed",
-];
+const PRESERVING: &[&str] = &["Activation", "SeqActivation", "TimeDistributed"];
 
 /// How one stack element transforms the sequence (time) dimension.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -489,7 +483,7 @@ mod tests {
         let src = "let net = SeqSequential::new(vec![
             Box::new(Conv1d::new(1, c, 3, &mut rng)),
             Box::new(SeqActivation::new(ActKind::Relu)),
-            Box::new(Softmax::new()),
+            Box::new(SeqActivation::new(ActKind::Tanh)),
             Box::new(Conv1d::new(c, 1, 3, &mut rng)),
         ]);";
         assert!(run(src).is_empty());

@@ -10,6 +10,7 @@ use super::{xavier, SeqLayer};
 use crate::matrix::Matrix;
 use crate::rng::Rng64;
 use crate::tensor3::Tensor3;
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
 /// 1-D convolution over the time axis.
@@ -143,7 +144,8 @@ impl Conv1d {
 }
 
 impl SeqLayer for Conv1d {
-    fn forward(&mut self, x: &Tensor3, _train: bool) -> Tensor3 {
+    // lint: cold — allocating body that ignores `ws`: conv stacks run on tod2v's allocating step, outside the zero-alloc loop
+    fn forward_ws(&mut self, x: &Tensor3, _train: bool, _ws: &mut Workspace) -> Tensor3 {
         let (b, t, _) = x.shape();
         let out_t = self.out_time(t);
         let cols = self.im2col(x);
@@ -157,7 +159,8 @@ impl SeqLayer for Conv1d {
         Tensor3::unflatten_time(b, out_t, &y).expect("conv output shape is consistent")
     }
 
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
+    // lint: cold — allocating body that ignores `ws`: conv stacks run on tod2v's allocating step, outside the zero-alloc loop
+    fn backward_ws(&mut self, dy: &Tensor3, _ws: &mut Workspace) -> Tensor3 {
         let cache = self.cache.as_ref().expect("backward called before forward");
         let (b, t) = (cache.batch, cache.time);
         let out_t = self.out_time(t);

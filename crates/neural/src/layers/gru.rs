@@ -15,6 +15,7 @@ use super::{xavier, SeqLayer};
 use crate::matrix::Matrix;
 use crate::rng::Rng64;
 use crate::tensor3::Tensor3;
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
 /// A standard GRU: `(b, t, in) -> (b, t, hidden)`, zero initial state.
@@ -71,7 +72,8 @@ fn sigmoid(x: f64) -> f64 {
 }
 
 impl SeqLayer for Gru {
-    fn forward(&mut self, x: &Tensor3, _train: bool) -> Tensor3 {
+    // lint: cold — allocating body that ignores `ws`: the GRU ablation backend is outside the zero-alloc contract
+    fn forward_ws(&mut self, x: &Tensor3, _train: bool, _ws: &mut Workspace) -> Tensor3 {
         let (batch, time, feat) = x.shape();
         assert_eq!(feat, self.input, "GRU input width mismatch");
         let h = self.hidden;
@@ -128,7 +130,8 @@ impl SeqLayer for Gru {
         out
     }
 
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
+    // lint: cold — allocating body that ignores `ws`: the GRU ablation backend is outside the zero-alloc contract
+    fn backward_ws(&mut self, dy: &Tensor3, _ws: &mut Workspace) -> Tensor3 {
         let cache = self.cache.as_ref().expect("backward called before forward");
         let time = cache.xs.len();
         let batch = dy.batch();

@@ -29,22 +29,6 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut cur = x.clone();
-        for l in &mut self.layers {
-            cur = l.forward(&cur, train);
-        }
-        cur
-    }
-
-    fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let mut cur = dy.clone();
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward(&cur);
-        }
-        cur
-    }
-
     fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
         match self.layers.split_first_mut() {
             None => {
@@ -113,22 +97,6 @@ impl SeqSequential {
 }
 
 impl SeqLayer for SeqSequential {
-    fn forward(&mut self, x: &Tensor3, train: bool) -> Tensor3 {
-        let mut cur = x.clone();
-        for l in &mut self.layers {
-            cur = l.forward(&cur, train);
-        }
-        cur
-    }
-
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
-        let mut cur = dy.clone();
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward(&cur);
-        }
-        cur
-    }
-
     fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3 {
         match self.layers.split_first_mut() {
             None => {
@@ -197,19 +165,6 @@ impl<L: Layer> TimeDistributed<L> {
 }
 
 impl<L: Layer> SeqLayer for TimeDistributed<L> {
-    fn forward(&mut self, x: &Tensor3, train: bool) -> Tensor3 {
-        let (b, t, _) = x.shape();
-        self.shape = Some((b, t));
-        let y = self.inner.forward(&x.flatten_time(), train);
-        Tensor3::unflatten_time(b, t, &y).expect("inner layer preserves row count")
-    }
-
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
-        let (b, t) = self.shape.expect("backward called before forward");
-        let dx = self.inner.backward(&dy.flatten_time());
-        Tensor3::unflatten_time(b, t, &dx).expect("inner layer preserves row count")
-    }
-
     fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3 {
         let (b, t, f) = x.shape();
         self.shape = Some((b, t));

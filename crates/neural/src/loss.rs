@@ -10,17 +10,13 @@ use crate::tensor3::Tensor3;
 
 /// Mean squared error; returns `(loss, d loss / d pred)`.
 pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.len().max(1) as f64;
-    let mut grad = pred.clone();
-    grad.sub_assign(target);
-    let loss = grad.as_slice().iter().map(|v| v * v).sum::<f64>() / n;
-    grad.scale(2.0 / n);
+    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    let loss = mse_into(pred, target, &mut grad);
     (loss, grad)
 }
 
-/// [`mse`] writing the gradient into a caller-provided buffer — same op
-/// order, same bits, no allocation. `grad` must match `pred`'s shape.
+/// [`mse`] writing the gradient into a caller-provided buffer, with no
+/// allocation. `grad` must match `pred`'s shape.
 // lint: hot — the zero-alloc training step's loss kernel
 pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
@@ -73,21 +69,14 @@ pub fn huber(pred: &Matrix, target: &Matrix, delta: f64) -> (f64, Matrix) {
 
 /// MSE over sequence tensors; returns `(loss, d loss / d pred)`.
 pub fn mse_seq(pred: &Tensor3, target: &Tensor3) -> (f64, Tensor3) {
-    assert_eq!(pred.shape(), target.shape(), "mse_seq shape mismatch");
-    let n = pred.as_slice().len().max(1) as f64;
-    let mut grad = pred.clone();
-    for (g, &t) in grad.as_mut_slice().iter_mut().zip(target.as_slice()) {
-        *g -= t;
-    }
-    let loss = grad.as_slice().iter().map(|v| v * v).sum::<f64>() / n;
-    for g in grad.as_mut_slice() {
-        *g *= 2.0 / n;
-    }
+    let (b, t, f) = pred.shape();
+    let mut grad = Tensor3::zeros(b, t, f);
+    let loss = mse_seq_into(pred, target, &mut grad);
     (loss, grad)
 }
 
-/// [`mse_seq`] writing the gradient into a caller-provided buffer — same
-/// op order, same bits, no allocation.
+/// [`mse_seq`] writing the gradient into a caller-provided buffer, with
+/// no allocation.
 // lint: hot — the zero-alloc training step's loss kernel
 pub fn mse_seq_into(pred: &Tensor3, target: &Tensor3, grad: &mut Tensor3) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "mse_seq shape mismatch");

@@ -2,11 +2,12 @@
 //!
 //! A [`Workspace`] owns a pool of `Vec<f64>` buffers that [`Matrix`] and
 //! [`Tensor3`] temporaries are carved from. Layers' `forward_ws` /
-//! `backward_ws` entry points (see [`crate::layers::Layer`]) take their
+//! `backward_ws` bodies (see [`crate::layers::Layer`]) take their
 //! outputs and internal temporaries from the pool and return spent
 //! buffers to it, so after a warmup pass every training step runs
 //! without touching the heap — the property the allocation-regression
-//! test locks in.
+//! test locks in. The plain `forward` / `backward` run the same bodies
+//! on a fresh workspace.
 //!
 //! ## Lifetime rules (DESIGN.md §13)
 //!

@@ -1,7 +1,8 @@
-//! The workspace (`*_ws`) forward/backward paths must be *bit-identical*
-//! to the plain allocating paths: the OVS trainer switches between them
-//! freely (e.g. warm-started restarts) and the golden-metrics suite pins
-//! exact loss values.
+//! A recycled workspace must yield the same bits as a fresh one. The
+//! plain `forward`/`backward` run each layer's `_ws` body on a fresh
+//! `Workspace`, while training loops reuse one across steps; callers mix
+//! the two freely (e.g. warm-started restarts) and the golden-metrics
+//! suite pins exact loss values.
 
 use neural::layers::{
     ActKind, Activation, Dense, Layer, Lstm, SeqActivation, SeqLayer, SeqSequential, Sequential,

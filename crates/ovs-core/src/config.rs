@@ -72,7 +72,9 @@ pub struct OvsConfig {
     pub rnn_kind: RnnKind,
     /// Learning rate (paper: 1e-3).
     pub lr: f64,
-    /// Dropout rate on the V2S head (paper: 0.3).
+    /// Dropout rate of the paper's V2S head (paper: 0.3). Recorded in
+    /// the config (and so in every artifact's fingerprint) but not
+    /// applied: no layer in the model reads it.
     pub dropout: f64,
     /// Epochs for stage 1 (V2S fit).
     pub epochs_v2s: usize,
@@ -157,8 +159,9 @@ impl Default for OvsConfig {
 }
 
 impl OvsConfig {
-    /// The paper's exact hyperparameters (Tables IV-V): LSTM(128),
-    /// learning rate 1e-3, dropout 0.3, 10 000 epochs. Slow; provided for
+    /// The paper's hyperparameters (Tables IV-V): LSTM(128), learning
+    /// rate 1e-3, 10 000 epochs. Its dropout 0.3 is recorded but not
+    /// applied (see [`OvsConfig::dropout`]). Slow; provided for
     /// completeness.
     pub fn paper() -> Self {
         Self {

@@ -263,8 +263,7 @@ impl Stage {
 /// stage's module weights, the full Adam moment state, the loss trace so
 /// far, and the early-stopping counters. Restoring this mid-stage and
 /// finishing the remaining steps reproduces the uninterrupted loss trace
-/// exactly (provided dropout is disabled — the dropout RNG is the one
-/// piece of state a snapshot does not capture).
+/// exactly: training draws no randomness outside this state.
 #[derive(Debug, Clone)]
 pub struct StageState {
     /// Which stage this state belongs to.
@@ -593,10 +592,10 @@ impl OvsTrainer {
                 0,
             ),
         );
-        // Pooled buffers make the steady-state loop allocation-free; the
-        // `_ws`/`_into` paths are bit-identical to the allocating ones
-        // (locked in by neural's ws_equivalence suite), so losses and
-        // weights match the pre-workspace trainer exactly.
+        // Pooled buffers make the steady-state loop allocation-free; a
+        // recycled workspace yields the same bits as a fresh one (locked
+        // in by neural's ws_equivalence suite), so losses and weights do
+        // not depend on buffer reuse.
         let mut ws = Workspace::new();
         let mut grad = Matrix::zeros(rows, t);
         let mut step = start;

@@ -29,8 +29,8 @@ fn input(ds: &Dataset) -> EstimatorInput<'_> {
         .build()
 }
 
-/// Deterministic config: dropout off, because the dropout RNG is not part
-/// of the checkpoint (documented in DESIGN.md §7).
+/// The tiny config with `dropout` pinned to 0. The field is recorded but
+/// not applied (DESIGN.md §7), so this only fixes the config fingerprint.
 fn cfg() -> OvsConfig {
     OvsConfig {
         dropout: 0.0,
